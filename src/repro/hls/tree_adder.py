@@ -28,8 +28,9 @@ from repro.hls.resources import ResourceVector
 def tree_reduce(values: np.ndarray) -> np.ndarray:
     """Sum ``values`` along the last axis in balanced-tree order.
 
-    Pairs adjacent elements level by level (odd element carried through),
-    reproducing the floating-point rounding of the hardware adder tree.
+    Pads the axis with zeros to a power of two, then pairs adjacent
+    elements level by level, reproducing the floating-point rounding of
+    the hardware adder tree (see the padding note on signed zeros).
     Works on any leading batch shape.
     """
     arr = np.asarray(values, dtype=DTYPE)
@@ -37,10 +38,12 @@ def tree_reduce(values: np.ndarray) -> np.ndarray:
     if n == 0:
         raise ConfigurationError("tree_reduce over an empty axis")
     if n & (n - 1):
-        # Pad to the next power of two. At every level the carried odd
-        # element then simply pairs with 0.0, and x + 0.0 == x, so the
-        # values of the odd-carry tree are reproduced exactly while the
-        # loop below stays branch-free.
+        # Pad to the next power of two with +0.0: a carried odd element
+        # pairs with 0.0 instead of passing through. x + 0.0 == x for
+        # every x except -0.0, which becomes +0.0, so this zero-padded
+        # tree is NOT the odd-carry tree on signed zeros (three -0.0
+        # leaves sum to +0.0 here, to -0.0 with an odd carry). The
+        # zero-padded tree is the semantics every engine implements.
         m = 1 << n.bit_length()
         pad = np.zeros(arr.shape[:-1] + (m - n,), dtype=arr.dtype)
         arr = np.concatenate([arr, pad], axis=-1)

@@ -24,6 +24,18 @@ class TestFunctional:
         vals = np.array([1, 2, 3], dtype=np.float32)
         assert tree_reduce(vals) == np.float32(np.float32(1 + 2) + 3)
 
+    def test_signed_zero_follows_the_zero_padded_tree(self):
+        # The pad pairs a carried -0.0 with +0.0, which rounds to +0.0;
+        # an odd-carry tree would keep -0.0. Without pad it survives.
+        def bits(x):
+            return np.float32(x).view(np.uint32)
+
+        neg = np.float32(-0.0)
+        assert bits(tree_reduce(np.full(3, neg))) == bits(0.0)
+        assert bits(neg + neg + neg) == bits(neg)  # the odd-carry value
+        assert bits(tree_reduce(np.full(4, neg))) == bits(neg)
+        assert bits(tree_reduce(np.full(1, neg))) == bits(neg)
+
     def test_batched_last_axis(self):
         vals = np.arange(12, dtype=np.float32).reshape(3, 4)
         got = tree_reduce(vals)
